@@ -109,12 +109,13 @@ inline constexpr const char* kBenchSchema = "mood-bench/1";
 ///   "meta": { ... RunMetadata, as in mood-result/1 ... },
 ///   "dataset": { ... dataset_summary() ... },
 ///   "stream": {          // gateway + replay configuration
+///     "loop_slack": 64, "loop_recheck": 16,
 ///     "shards": 8, "window_seconds": 0, "max_points": 0,
 ///     "max_users_per_shard": 0, "staleness_points": 0,
-///     "batch_events": 256, "target_rate": 0.0, "time_compression": 0.0
+///     "target_rate": 0.0, "time_compression": 0.0, "stage_timers": true
 ///   },
 ///   "replay": {          // measured outcome
-///     "events": 24576, "batches": 96, "users": 20,
+///     "events": 24576, "users": 20,
 ///     "wall_seconds": 1.84, "events_per_second": 13356.5,
 ///     "latency_seconds": {"p50": ..., "p95": ..., "p99": ...,
 ///                          "max": ..., "mean": ...},
@@ -174,8 +175,8 @@ inline constexpr const char* kBenchSchema = "mood-bench/1";
 ///
 /// Latencies are seconds; `window_slices` counts the 24 h preslice
 /// partitions of the user's final window. Decisions are deterministic in
-/// the event stream and batch size — identical across --jobs and shard
-/// counts; only the timing numbers vary.
+/// the event stream and the decision cadences — identical across --jobs
+/// and shard counts; only the timing numbers vary.
 inline constexpr const char* kStreamSchema = "mood-stream/1";
 
 /// Provenance of one run: which tool produced it, on what data, with which

@@ -6,8 +6,8 @@
 ///
 /// The batch harness evaluates whole test traces; the gateway instead
 /// consumes a globally time-ordered stream of these events (see replay.h
-/// for the dataset -> stream conversion) and answers, per micro-batch and
-/// per user, whether the user's current sliding window can be published
+/// for the dataset -> stream conversion) and answers, per event and per
+/// user, whether the user's current sliding window can be published
 /// raw (expose) or needs a protection mechanism (protect).
 
 #include <cstdint>

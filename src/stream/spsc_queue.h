@@ -1,8 +1,8 @@
 #pragma once
 
 // Single-producer single-consumer lock-free ring buffer — the ingest lane
-// between the gateway's producer thread and one per-shard worker in
-// `--engine=loop` mode (engine.h). One queue per shard keeps the contract
+// between the gateway's producer thread and one per-shard worker
+// (engine.h). One queue per shard keeps the contract
 // strictly SPSC: the thread calling StreamEngine::ingest is the only
 // pusher, the shard's worker the only popper.
 //

@@ -1,8 +1,5 @@
 #include "stream/user_state.h"
 
-#include <algorithm>
-#include <limits>
-
 #include "support/error.h"
 
 namespace mood::stream {
@@ -37,14 +34,6 @@ void UserStateStore::evict_one(Shard& shard, std::size_t shard_index) {
     }
   }
   if (victim == shard.states.end()) return;
-  shard.backlog -= victim->second.pending.size();
-  if (!victim_clean) {
-    // A dirty victim's queued points die with it; drop it from the dirty
-    // list so drain_shard does not chase a dangling id.
-    shard.dirty.erase(
-        std::remove(shard.dirty.begin(), shard.dirty.end(), victim->first),
-        shard.dirty.end());
-  }
   shard.states.erase(victim);
   evictions_->add(1, shard_index);
 }
@@ -53,7 +42,6 @@ UserState* UserStateStore::admit_locked(Shard& shard, std::size_t shard_index,
                                         const StreamEvent& event,
                                         BadRecordPolicy policy, bool poisoned,
                                         const char* poison_reason,
-                                        bool track_dirty,
                                         AdmitResult& result) {
   result.shard = shard_index;
   auto it = shard.states.find(event.user);
@@ -64,7 +52,6 @@ UserState* UserStateStore::admit_locked(Shard& shard, std::size_t shard_index,
     result.status = AdmitResult::Status::kDeadLettered;
     result.reason = to_string(AdmissionFault::kDecideFault);
     result.dead_letters = 1;
-    result.shard_backlog = shard.backlog;
     return nullptr;
   }
 
@@ -82,7 +69,6 @@ UserState* UserStateStore::admit_locked(Shard& shard, std::size_t shard_index,
     // whether the drop aborts the run.
     result.status = AdmitResult::Status::kRejected;
     result.reason = fault;
-    result.shard_backlog = shard.backlog;
     return nullptr;
   }
 
@@ -101,45 +87,25 @@ UserState* UserStateStore::admit_locked(Shard& shard, std::size_t shard_index,
   state.last_touch = ++shard.clock;
 
   if (fault != nullptr) {
-    // Quarantine trips on the poisoned event: freeze the kernel state,
+    // Quarantine trips on the poisoned event: freeze the kernel state and
     // dead-letter the event plus any pending points (they share the
-    // compromised source), and drop the user from the dirty list.
+    // compromised source).
     state.quarantined = true;
     state.quarantine_reason = fault;
     const std::uint64_t flushed = state.pending.size() + 1;
-    shard.backlog -= state.pending.size();
     state.pending.clear();
     state.dead_letters += flushed;
-    shard.dirty.erase(
-        std::remove(shard.dirty.begin(), shard.dirty.end(), event.user),
-        shard.dirty.end());
     result.status = AdmitResult::Status::kQuarantined;
     result.reason = fault;
     result.dead_letters = flushed;
-    result.shard_backlog = shard.backlog;
     return nullptr;
   }
 
-  if (track_dirty && state.pending.empty()) shard.dirty.push_back(event.user);
   state.pending.push_back(event.record);
   state.has_last_time = true;
   state.last_time = event.record.time;
-  shard.backlog += 1;
   result.status = AdmitResult::Status::kAdmitted;
-  result.shard_backlog = shard.backlog;
   return &state;
-}
-
-AdmitResult UserStateStore::enqueue(const StreamEvent& event,
-                                    BadRecordPolicy policy, bool poisoned,
-                                    const char* poison_reason) {
-  const std::size_t shard_index = shard_of(event.user);
-  Shard& shard = shards_[shard_index];
-  const std::lock_guard lock(shard.mutex);
-  AdmitResult result;
-  admit_locked(shard, shard_index, event, policy, poisoned, poison_reason,
-               /*track_dirty=*/true, result);
-  return result;
 }
 
 AdmitResult UserStateStore::admit_and_process(
@@ -149,56 +115,16 @@ AdmitResult UserStateStore::admit_and_process(
   Shard& shard = shards_[shard_index];
   const std::lock_guard lock(shard.mutex);
   AdmitResult result;
-  UserState* state =
-      admit_locked(shard, shard_index, event, policy, poisoned, poison_reason,
-                   /*track_dirty=*/false, result);
-  if (state != nullptr) {
-    // fn folds (or flushes, if it quarantines) the pending queue; account
-    // the backlog by the before/after delta exactly as drain_shard does.
-    const std::size_t before = state->pending.size();
-    fn(*state);
-    shard.backlog = shard.backlog - before + state->pending.size();
-    result.shard_backlog = shard.backlog;
-  }
+  UserState* state = admit_locked(shard, shard_index, event, policy,
+                                  poisoned, poison_reason, result);
+  if (state != nullptr) fn(*state);
   return result;
-}
-
-std::size_t UserStateStore::pending_events(std::size_t shard) const {
-  support::expects(shard < shards_.size(),
-                   "UserStateStore::pending_events: shard out of range");
-  const std::lock_guard lock(shards_[shard].mutex);
-  return shards_[shard].backlog;
-}
-
-std::size_t UserStateStore::drain_shard(
-    std::size_t shard_index, const std::function<void(UserState&)>& fn) {
-  support::expects(shard_index < shards_.size(),
-                   "UserStateStore::drain_shard: shard out of range");
-  Shard& shard = shards_[shard_index];
-  const std::lock_guard lock(shard.mutex);
-  std::size_t visited = 0;
-  for (const auto& user : shard.dirty) {
-    const auto it = shard.states.find(user);
-    if (it == shard.states.end()) continue;  // evicted while dirty
-    // fn folds (or flushes) pending points; account the backlog by the
-    // before/after delta rather than trusting fn to report it.
-    const std::size_t before = it->second.pending.size();
-    fn(it->second);
-    shard.backlog = shard.backlog - before + it->second.pending.size();
-    ++visited;
-  }
-  shard.dirty.clear();
-  return visited;
 }
 
 void UserStateStore::for_each(const std::function<void(UserState&)>& fn) {
   for (Shard& shard : shards_) {
     const std::lock_guard lock(shard.mutex);
-    for (auto& [user, state] : shard.states) {
-      const std::size_t before = state.pending.size();
-      fn(state);
-      shard.backlog = shard.backlog - before + state.pending.size();
-    }
+    for (auto& [user, state] : shard.states) fn(state);
   }
 }
 
@@ -222,18 +148,8 @@ std::size_t UserStateStore::user_count() const {
 void UserStateStore::restore_user(UserState state) {
   Shard& shard = shards_[shard_of(state.user)];
   const std::lock_guard lock(shard.mutex);
-  const bool dirty = !state.pending.empty();
   const mobility::UserId user = state.user;
-  if (const auto it = shard.states.find(user); it != shard.states.end()) {
-    shard.backlog -= it->second.pending.size();
-  }
-  shard.backlog += state.pending.size();
   shard.states.insert_or_assign(user, std::move(state));
-  if (dirty &&
-      std::find(shard.dirty.begin(), shard.dirty.end(), user) ==
-          shard.dirty.end()) {
-    shard.dirty.push_back(user);
-  }
 }
 
 std::vector<std::uint64_t> UserStateStore::shard_clocks() const {

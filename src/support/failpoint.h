@@ -19,7 +19,7 @@
 ///     no-atexit death, matching SIGKILL. Drive it from gtest death tests
 ///     (EXPECT_EXIT) or a sacrificial CLI subprocess.
 ///   * kCorrupt — returned to the call site, which mangles its own data
-///     in place (e.g. the drain path poisons a user's pending event with
+///     in place (e.g. the fold path poisons a user's pending event with
 ///     a NaN coordinate). Sites that don't know how to self-corrupt
 ///     treat it as kError.
 ///   * kThrow — throw testing::InjectedFault at the site: a typed,
@@ -56,7 +56,7 @@ enum class FailAction : std::uint8_t {
 
 /// The typed exception a kThrow fail point raises. Derives support::Error
 /// so production catch-blocks that absorb domain failures (e.g. the
-/// quarantining drain path) treat it like any real fault.
+/// quarantining shard worker) treat it like any real fault.
 class InjectedFault : public support::Error {
  public:
   explicit InjectedFault(const std::string& what) : support::Error(what) {}

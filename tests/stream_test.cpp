@@ -3,15 +3,17 @@
 // heatmap exactly, PIT/POI under the staleness-rebuild policy), and the
 // StreamEngine/Replay pipeline's headline invariant — final streamed
 // decisions are bit-identical to the batch evaluators, independent of
-// batch size, shard count and drain parallelism.
+// the shard count and the worker interleaving.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
+#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "attacks/ap_attack.h"
@@ -122,45 +124,61 @@ TEST_F(StreamTest, EventStreamReassemblesEachUsersTestTrace) {
 
 // -------------------------------------------------------------- store --
 
-TEST(UserStateStore, ShardingIsStableAndEnqueueMarksDirty) {
+/// Store callbacks: fold (consume the pending queue, as the engine's
+/// worker does) or keep (leave the admitted points pending).
+void fold_all(UserState& state) { state.pending.clear(); }
+void keep_pending(UserState&) {}
+
+AdmitResult admit(UserStateStore& store, const std::string& user,
+                  mobility::Timestamp time,
+                  void (*fn)(UserState&) = fold_all) {
+  return store.admit_and_process(StreamEvent{user, {{45.0, 5.0}, time}, 0},
+                                 BadRecordPolicy::kSkip, false, nullptr, fn);
+}
+
+TEST(UserStateStore, ShardingIsStableAndAdmitRunsTheUserCallback) {
   UserStateStore store(StoreConfig{4, 0});
   EXPECT_EQ(store.shard_count(), 4u);
   EXPECT_EQ(store.shard_of("alice"), store.shard_of("alice"));
 
-  store.enqueue(StreamEvent{"alice", {{45.0, 5.0}, 100}, 0});
-  store.enqueue(StreamEvent{"alice", {{45.0, 5.0}, 200}, 1});
-  store.enqueue(StreamEvent{"bob", {{46.0, 6.0}, 150}, 2});
+  // Each admitted event runs the callback once, on its own user's state,
+  // with exactly that event pending.
+  std::vector<std::pair<std::string, std::size_t>> calls;
+  const auto record = [&](UserState& state) {
+    calls.emplace_back(state.user, state.pending.size());
+    state.pending.clear();
+  };
+  for (const auto& [user, time] :
+       std::vector<std::pair<std::string, mobility::Timestamp>>{
+           {"alice", 100}, {"alice", 200}, {"bob", 150}}) {
+    const AdmitResult result = store.admit_and_process(
+        StreamEvent{user, {{45.0, 5.0}, time}, 0}, BadRecordPolicy::kSkip,
+        false, nullptr, record);
+    EXPECT_EQ(result.status, AdmitResult::Status::kAdmitted);
+    EXPECT_EQ(result.shard, store.shard_of(user));
+  }
   EXPECT_EQ(store.user_count(), 2u);
+  EXPECT_EQ(calls, (std::vector<std::pair<std::string, std::size_t>>{
+                       {"alice", 1}, {"alice", 1}, {"bob", 1}}));
 
-  std::size_t visited = 0;
-  std::size_t pending = 0;
-  for (std::size_t s = 0; s < store.shard_count(); ++s) {
-    visited += store.drain_shard(s, [&](UserState& state) {
-      pending += state.pending.size();
-      state.pending.clear();
-    });
-  }
-  EXPECT_EQ(visited, 2u);
-  EXPECT_EQ(pending, 3u);
-
-  // Drained users are no longer dirty.
-  visited = 0;
-  for (std::size_t s = 0; s < store.shard_count(); ++s) {
-    visited += store.drain_shard(s, [](UserState&) {});
-  }
-  EXPECT_EQ(visited, 0u);
+  // A rejected event (alice's clock regressed) never reaches the callback.
+  const AdmitResult rejected = store.admit_and_process(
+      StreamEvent{"alice", {{45.0, 5.0}, 50}, 0}, BadRecordPolicy::kSkip,
+      false, nullptr, record);
+  EXPECT_EQ(rejected.status, AdmitResult::Status::kRejected);
+  EXPECT_EQ(calls.size(), 3u);
 }
 
 TEST(UserStateStore, LruEvictionPrefersLeastRecentlyTouchedCleanUser) {
   // One shard so every user competes for the same capacity.
   UserStateStore store(StoreConfig{1, 2});
-  store.enqueue(StreamEvent{"a", {{45.0, 5.0}, 100}, 0});
-  store.enqueue(StreamEvent{"b", {{45.0, 5.0}, 200}, 1});
-  store.drain_shard(0, [](UserState& state) { state.pending.clear(); });
-  // Touch "a" again so "b" is the LRU candidate.
-  store.enqueue(StreamEvent{"a", {{45.0, 5.0}, 300}, 2});
+  admit(store, "a", 100);
+  admit(store, "b", 200);
+  // Touch "a" again, leaving a point pending, so "b" is the clean LRU
+  // candidate.
+  admit(store, "a", 300, keep_pending);
 
-  store.enqueue(StreamEvent{"c", {{45.0, 5.0}, 400}, 3});
+  admit(store, "c", 400);
   EXPECT_EQ(store.user_count(), 2u);
   EXPECT_EQ(store.eviction_count(), 1u);
 
@@ -174,36 +192,33 @@ TEST(UserStateStore, RejectsZeroShards) {
   EXPECT_THROW(UserStateStore(StoreConfig{0, 0}), support::PreconditionError);
 }
 
-/// The exact --max-users boundary with *every* resident state dirty: the
-/// store must still admit the newcomer by evicting the least-recently-
-/// touched dirty user, drop that user's id from the dirty list (no
-/// dangling drains), and lose no pending events of the survivors.
+/// The exact --max-users boundary with *every* resident state holding
+/// unfolded points: the store must still admit the newcomer by evicting
+/// the least-recently-touched user and lose no pending point of the
+/// survivors.
 TEST(UserStateStore, EvictionAtExactCapacityWhenEveryResidentIsDirty) {
   UserStateStore store(StoreConfig{1, 2});
-  store.enqueue(StreamEvent{"a", {{45.0, 5.0}, 100}, 0});
-  store.enqueue(StreamEvent{"b", {{45.0, 5.0}, 200}, 1});
-  store.enqueue(StreamEvent{"b", {{45.0, 5.0}, 250}, 2});
+  admit(store, "a", 100, keep_pending);
+  admit(store, "b", 200, keep_pending);
+  admit(store, "b", 250, keep_pending);
   ASSERT_EQ(store.user_count(), 2u);  // at the exact capacity bound
 
-  // Nobody drained: both residents hold undecided events. Admitting "c"
-  // must evict "a" (least-recently-touched; the all-dirty fallback).
-  store.enqueue(StreamEvent{"c", {{45.0, 5.0}, 300}, 3});
+  // Both residents hold unfolded points. Admitting "c" must evict "a"
+  // (least-recently-touched; the all-dirty fallback).
+  admit(store, "c", 300, keep_pending);
   EXPECT_EQ(store.user_count(), 2u);
   EXPECT_EQ(store.eviction_count(), 1u);
 
-  // Re-enqueueing a resident at the bound must NOT evict anyone.
-  store.enqueue(StreamEvent{"b", {{45.0, 5.0}, 350}, 4});
+  // Re-admitting a resident at the bound must NOT evict anyone.
+  admit(store, "b", 350, keep_pending);
   EXPECT_EQ(store.user_count(), 2u);
   EXPECT_EQ(store.eviction_count(), 1u);
 
-  // The drain sees exactly the survivors, with their queues intact — and
-  // never chases the evicted user's dangling dirty entry.
+  // The survivors keep their queues intact.
   std::unordered_map<std::string, std::size_t> pending;
-  const std::size_t visited = store.drain_shard(0, [&](UserState& state) {
+  store.for_each([&](UserState& state) {
     pending[state.user] = state.pending.size();
-    state.pending.clear();
   });
-  EXPECT_EQ(visited, 2u);
   ASSERT_EQ(pending.size(), 2u);
   EXPECT_EQ(pending.at("b"), 3u);
   EXPECT_EQ(pending.at("c"), 1u);
@@ -478,43 +493,41 @@ void expect_matches_batch(const std::vector<UserDecision>& decisions,
   }
 }
 
+/// A gateway config with `shards` shards and every other knob at its
+/// default.
+StreamConfig sharded(std::size_t shards) {
+  StreamConfig config;
+  config.shards = shards;
+  return config;
+}
+
+/// Final decisions (user, verdict, winner, folded events) agree.
+void expect_same_decisions(const std::vector<UserDecision>& actual,
+                           const std::vector<UserDecision>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].user, expected[i].user);
+    EXPECT_EQ(actual[i].decision, expected[i].decision) << actual[i].user;
+    EXPECT_EQ(actual[i].winner, expected[i].winner) << actual[i].user;
+    EXPECT_EQ(actual[i].events, expected[i].events) << actual[i].user;
+  }
+}
+
 TEST_F(StreamTest, FinalDecisionsMatchBatchEvaluators) {
   const BatchOracle oracle = batch_oracle(*harness_);
-  StreamConfig config;
-  config.shards = 4;
-  const auto result = replay_with(config);
+  const auto result = replay_with(sharded(1));
   expect_matches_batch(result.decisions, oracle);
   EXPECT_EQ(result.stats.exposed_events + result.stats.protected_events,
             result.events);
 }
 
 TEST_F(StreamTest, DecisionsAreIndependentOfShardsBatchAndParallelism) {
-  StreamConfig base;
-  base.shards = 4;
-  ReplayOptions options;
-  options.batch_events = 256;
-  const auto reference = replay_with(base, options);
-
-  StreamConfig one_shard = base;
-  one_shard.shards = 1;
-  StreamConfig serial = base;
-  serial.parallel_drain = false;
-  serial.shards = 7;
-  ReplayOptions tiny_batches;
-  tiny_batches.batch_events = 37;
-  ReplayOptions one_batch;
-  one_batch.batch_events = 1u << 20;
-
-  for (const auto& result :
-       {replay_with(one_shard, options), replay_with(serial, options),
-        replay_with(base, tiny_batches), replay_with(base, one_batch)}) {
-    ASSERT_EQ(result.decisions.size(), reference.decisions.size());
-    for (std::size_t i = 0; i < result.decisions.size(); ++i) {
-      EXPECT_EQ(result.decisions[i].user, reference.decisions[i].user);
-      EXPECT_EQ(result.decisions[i].decision,
-                reference.decisions[i].decision);
-      EXPECT_EQ(result.decisions[i].winner, reference.decisions[i].winner);
-    }
+  // One worker per shard: 1, 3 and 7 shards interleave the users'
+  // sub-streams across threads differently, and must not move a verdict.
+  const auto reference = replay_with(sharded(4));
+  for (const std::size_t shards : {1u, 3u, 7u}) {
+    expect_same_decisions(replay_with(sharded(shards)).decisions,
+                          reference.decisions);
   }
 }
 
@@ -557,31 +570,21 @@ TEST_F(StreamTest, LruCapEvictsUsers) {
 // -------------------------------------------------------------- replay --
 
 TEST_F(StreamTest, ReplayMeasuresThroughputAndOrderedLatencies) {
-  StreamConfig config;
-  config.shards = 4;
-  ReplayOptions options;
-  options.batch_events = 128;
-  const auto result = replay_with(config, options);
+  const auto result = replay_with(sharded(4));
 
   EXPECT_EQ(result.events, events_->size());
-  EXPECT_EQ(result.batches,
-            (events_->size() + options.batch_events - 1) /
-                options.batch_events);
+  EXPECT_EQ(result.session_events, events_->size());
   EXPECT_GT(result.wall_seconds, 0.0);
   EXPECT_GT(result.events_per_second, 0.0);
   EXPECT_GE(result.latency.p50, 0.0);
   EXPECT_LE(result.latency.p50, result.latency.p95);
   EXPECT_LE(result.latency.p95, result.latency.p99);
   EXPECT_LE(result.latency.p99, result.latency.max);
-  EXPECT_GT(result.stats.batches, 0u);
 }
 
 TEST_F(StreamTest, ReplayLatencyHistogramCoversEveryEvent) {
-  StreamConfig config;
-  config.shards = 4;
-  ReplayOptions options;
-  options.batch_events = 128;
-  const auto result = replay_with(config, options);
+  const StreamConfig config = sharded(4);
+  const auto result = replay_with(config);
 
   // Every ingested event records exactly one latency sample on its
   // owning shard's lane; the merged histogram is the lane sum.
@@ -602,26 +605,19 @@ TEST_F(StreamTest, ReplayLatencyHistogramCoversEveryEvent) {
 }
 
 TEST_F(StreamTest, StageTimersOffChangesNoDecision) {
-  StreamConfig timed;
-  timed.shards = 4;
+  const StreamConfig timed = sharded(4);
   const auto reference = replay_with(timed);
 
   StreamConfig untimed = timed;
   untimed.telemetry.stage_timers = false;
   const auto result = replay_with(untimed);
-
-  ASSERT_EQ(result.decisions.size(), reference.decisions.size());
-  for (std::size_t i = 0; i < result.decisions.size(); ++i) {
-    EXPECT_EQ(result.decisions[i].user, reference.decisions[i].user);
-    EXPECT_EQ(result.decisions[i].decision, reference.decisions[i].decision);
-    EXPECT_EQ(result.decisions[i].winner, reference.decisions[i].winner);
-  }
+  expect_same_decisions(result.decisions, reference.decisions);
   // Replay latency is always on (it is the report's headline metric);
   // only the per-stage histograms go quiet.
   EXPECT_EQ(result.latency_histogram.count, result.events);
   StreamEngine probe(harness_->make_engine(), untimed);
   probe.ingest((*events_)[0]);
-  probe.drain();
+  probe.quiesce();
   for (const auto& entry : probe.metrics_snapshot().histograms) {
     if (entry.name.rfind("mood_stage_", 0) == 0) {
       EXPECT_TRUE(entry.merged.empty()) << entry.name;
@@ -630,9 +626,7 @@ TEST_F(StreamTest, StageTimersOffChangesNoDecision) {
 }
 
 TEST_F(StreamTest, MetricsSnapshotMirrorsGatewayCounters) {
-  StreamConfig config;
-  config.shards = 2;
-  StreamEngine engine(harness_->make_engine(), config);
+  StreamEngine engine(harness_->make_engine(), sharded(2));
   const auto result = run_replay(engine, *events_, {});
 
   const telemetry::MetricsSnapshot snapshot = engine.metrics_snapshot();
@@ -651,10 +645,11 @@ TEST_F(StreamTest, MetricsSnapshotMirrorsGatewayCounters) {
     return -1.0;
   };
   EXPECT_EQ(counter("mood_stream_events_total"), result.events);
-  EXPECT_EQ(counter("mood_stream_batches_total"), result.batches);
   EXPECT_DOUBLE_EQ(gauge("mood_gateway_events"), double(result.stats.events));
   EXPECT_DOUBLE_EQ(gauge("mood_gateway_searches"),
                    double(result.stats.searches));
+  // finish() retired the workers with every ring empty.
+  EXPECT_DOUBLE_EQ(gauge("mood_queue_depth"), 0.0);
   // Names are sorted, and the exposition of a live engine renders.
   EXPECT_TRUE(std::is_sorted(
       snapshot.counters.begin(), snapshot.counters.end(),
@@ -669,69 +664,49 @@ TEST_F(StreamTest, TelemetryOnRestoredReplayDiffsCleanAgainstStraight) {
   // restart drill: a restored gateway's decisions and continued stats
   // stay byte-identical to an uninterrupted run's.
   telemetry::TraceSession::instance().start(1 << 12);
-  StreamConfig config;
-  config.shards = 2;
-  ReplayOptions options;
-  options.batch_events = 256;
+  const StreamConfig config = sharded(2);
 
   StreamEngine straight(harness_->make_engine(), config);
-  const auto reference = run_replay(straight, *events_, options);
+  const auto reference = run_replay(straight, *events_, {});
 
-  const std::size_t boundary = 2 * options.batch_events;
+  const std::size_t cut = 512;
   StreamEngine first(harness_->make_engine(), config);
-  for (std::size_t i = 0; i < boundary; ++i) {
-    first.ingest((*events_)[i]);
-    if ((i + 1) % options.batch_events == 0) first.drain();
-  }
+  for (std::size_t i = 0; i < cut; ++i) first.ingest((*events_)[i]);
+  first.quiesce();
   const SnapshotData snap =
       decode_snapshot(encode_snapshot(first.capture_snapshot()));
   StreamEngine second(harness_->make_engine(), config);
   second.restore_snapshot(snap);
-  options.resume_events = boundary;
+  ReplayOptions options;
+  options.resume_events = cut;
   const auto resumed = run_replay(second, *events_, options);
   telemetry::TraceSession::instance().stop();
 
-  ASSERT_EQ(resumed.decisions.size(), reference.decisions.size());
-  for (std::size_t i = 0; i < reference.decisions.size(); ++i) {
-    EXPECT_EQ(resumed.decisions[i].user, reference.decisions[i].user);
-    EXPECT_EQ(resumed.decisions[i].decision,
-              reference.decisions[i].decision);
-    EXPECT_EQ(resumed.decisions[i].winner, reference.decisions[i].winner);
-  }
+  expect_same_decisions(resumed.decisions, reference.decisions);
   EXPECT_EQ(resumed.stats.events, reference.stats.events);
   EXPECT_EQ(resumed.stats.decisions, reference.stats.decisions);
   // The latency histogram is session-scoped: the resumed process only
   // measured the events it replayed itself.
-  EXPECT_EQ(resumed.latency_histogram.count, events_->size() - boundary);
+  EXPECT_EQ(resumed.latency_histogram.count, events_->size() - cut);
 }
 
 TEST_F(StreamTest, ReplayOfEmptyStreamIsWellFormed) {
   StreamEngine engine(harness_->make_engine(), StreamConfig{});
   const auto result = run_replay(engine, {});
   EXPECT_EQ(result.events, 0u);
-  EXPECT_EQ(result.batches, 0u);
   EXPECT_TRUE(result.decisions.empty());
 }
 
-TEST_F(StreamTest, ReplayRejectsZeroBatch) {
-  StreamEngine engine(harness_->make_engine(), StreamConfig{});
-  ReplayOptions options;
-  options.batch_events = 0;
-  EXPECT_THROW(run_replay(engine, *events_, options),
-               support::PreconditionError);
-}
-
 TEST_F(StreamTest, ReplayRejectsMisalignedOrOverlongResume) {
-  // Resume positions must fall on micro-batch boundaries (checkpoints are
-  // written at drain boundaries, so any legitimate restore position does)
-  // and inside the stream.
+  // Every quiesced cut is a valid resume position, so the only misaligned
+  // resume is one past the stream end; bad pacing knobs are refused too.
   StreamEngine engine(harness_->make_engine(), StreamConfig{});
   ReplayOptions options;
-  options.batch_events = 128;
-  options.resume_events = 100;
+  options.resume_events = events_->size() + 1;
   EXPECT_THROW(run_replay(engine, *events_, options),
                support::PreconditionError);
-  options.resume_events = events_->size() + 128;
+  options.resume_events = 0;
+  options.target_rate = -1.0;
   EXPECT_THROW(run_replay(engine, *events_, options),
                support::PreconditionError);
 }
@@ -748,46 +723,47 @@ TEST(BadRecordPolicyTest, ParsesSpellingsAndRejectsUnknowns) {
 }
 
 TEST_F(StreamTest, StrictAdmissionThrowsTypedBadRecordError) {
-  StreamConfig config;
-  config.shards = 1;
+  const StreamConfig config = sharded(1);
 
-  StreamEngine nan_engine(harness_->make_engine(), config);
-  StreamEvent bad = (*events_)[0];
-  bad.record.position.lat = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(nan_engine.ingest(bad), BadRecordError);
-
-  StreamEngine off_planet(harness_->make_engine(), config);
-  bad = (*events_)[0];
-  bad.record.position.lat = 95.0;  // finite but outside the legal band
-  EXPECT_THROW(off_planet.ingest(bad), BadRecordError);
-
+  // An unattributable id is classified on the producer: ingest throws.
   StreamEngine id_engine(harness_->make_engine(), config);
   StreamEvent huge = (*events_)[0];
   huge.user = std::string(kMaxUserIdBytes + 1, 'x');
   EXPECT_THROW(id_engine.ingest(huge), BadRecordError);
+
+  // A finite coordinate outside the legal band is flagged on the producer
+  // and rejected by the shard worker; the typed error surfaces no later
+  // than the quiesce barrier.
+  StreamEngine off_planet(harness_->make_engine(), config);
+  StreamEvent bad = (*events_)[0];
+  bad.record.position.lat = 95.0;
+  EXPECT_EQ(off_planet.ingest(bad), IngestStatus::kAdmitted);
+  EXPECT_THROW(off_planet.quiesce(), BadRecordError);
 
   // Per-user timestamp regression; an exact tie stays legal (real exports
   // carry same-second fixes routinely).
   StreamEngine time_engine(harness_->make_engine(), config);
   const StreamEvent first = (*events_)[0];
   EXPECT_EQ(time_engine.ingest(first), IngestStatus::kAdmitted);
+  EXPECT_EQ(time_engine.ingest(first), IngestStatus::kAdmitted);
+  EXPECT_NO_THROW(time_engine.quiesce());
   StreamEvent regressed = first;
   regressed.record.time -= 100;
-  EXPECT_THROW(time_engine.ingest(regressed), BadRecordError);
-  EXPECT_EQ(time_engine.ingest(first), IngestStatus::kAdmitted);
+  time_engine.ingest(regressed);
+  EXPECT_THROW(time_engine.quiesce(), BadRecordError);
 }
 
 TEST_F(StreamTest, SkipPolicyDropsBadRecordsAndCounts) {
-  StreamConfig config;
-  config.shards = 1;
+  StreamConfig config = sharded(1);
   config.resilience.on_bad_record = BadRecordPolicy::kSkip;
   StreamEngine engine(harness_->make_engine(), config);
 
+  // The worker dispositions the flagged event: ingest admits it to the
+  // ring, the outcome shows in the counters.
   StreamEvent bad = (*events_)[0];
   bad.record.position.lon = std::numeric_limits<double>::infinity();
-  EXPECT_EQ(engine.ingest(bad), IngestStatus::kRejected);
+  EXPECT_EQ(engine.ingest(bad), IngestStatus::kAdmitted);
   EXPECT_EQ(engine.ingest((*events_)[0]), IngestStatus::kAdmitted);
-  engine.drain();
   engine.finish();
 
   const StreamStats stats = engine.stats();
@@ -800,11 +776,18 @@ TEST_F(StreamTest, SkipPolicyDropsBadRecordsAndCounts) {
   const auto decisions = engine.decisions();
   ASSERT_EQ(decisions.size(), 1u);
   EXPECT_FALSE(decisions[0].quarantined);
+  EXPECT_EQ(decisions[0].events, 1u);
+}
+
+/// The first user id in sorted order — inject_poison's first victim.
+mobility::UserId first_user(const std::vector<StreamEvent>& events) {
+  mobility::UserId victim = events.front().user;
+  for (const StreamEvent& event : events) victim = std::min(victim, event.user);
+  return victim;
 }
 
 TEST_F(StreamTest, QuarantineIsolatesPoisonedUserFromHealthyDecisions) {
-  StreamConfig config;
-  config.shards = 4;
+  const StreamConfig config = sharded(4);
   const auto clean = replay_with(config);
 
   std::vector<StreamEvent> poisoned_events = *events_;
@@ -812,11 +795,7 @@ TEST_F(StreamTest, QuarantineIsolatesPoisonedUserFromHealthyDecisions) {
   spec.users = 1;
   spec.stride = 3;
   ASSERT_GT(inject_poison(poisoned_events, spec), 0u);
-  // inject_poison targets the first user id in sorted order.
-  mobility::UserId victim = poisoned_events.front().user;
-  for (const StreamEvent& event : *events_) {
-    victim = std::min(victim, event.user);
-  }
+  const mobility::UserId victim = first_user(*events_);
 
   StreamConfig quarantine = config;
   quarantine.resilience.on_bad_record = BadRecordPolicy::kQuarantine;
@@ -850,118 +829,113 @@ TEST_F(StreamTest, QuarantineIsolatesPoisonedUserFromHealthyDecisions) {
 }
 
 TEST_F(StreamTest, ShedHysteresisEngagesBetweenWatermarksAndReleases) {
-  StreamConfig config;
-  config.shards = 1;
-  config.parallel_drain = false;
-  config.resilience.shed_high_watermark = 64;
-  config.resilience.shed_low_watermark = 16;
+  // One shard, workers held back, N events pre-filled: the ring depth the
+  // worker reads at its k-th dequeue (0-based) is exactly N - k, so the
+  // latch's whole life is a function of N and the watermarks.
+  constexpr std::size_t kN = 200;
+  constexpr std::size_t kHigh = 64;
+  constexpr std::size_t kLow = 16;
+  StreamConfig config = sharded(1);
+  config.loop_autostart = false;
+  config.resilience.shed_high_watermark = kHigh;
+  config.resilience.shed_low_watermark = kLow;
   StreamEngine engine(harness_->make_engine(), config);
-  std::size_t next = 0;
-  const auto ingest_n = [&](std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) engine.ingest((*events_)[next++]);
-  };
+  for (std::size_t i = 0; i < kN; ++i) engine.ingest((*events_)[i]);
+  engine.start_loop();
+  engine.quiesce();
 
-  // Below the high watermark: full decisions, latch off.
-  ingest_n(32);
-  engine.drain();
-  EXPECT_EQ(engine.stats().degraded_batches, 0u);
-
-  // Backlog at/above high: the latch engages and the batch degrades to
-  // held verdicts (users decided in the first drain are genuinely held).
-  ingest_n(128);
-  engine.drain();
+  // Engage at depth N >= high (k = 0), hold while the depth falls through
+  // the band between the watermarks, release at depth == low. So the
+  // first N - low dequeues shed — except each user's first-ever verdict,
+  // which shedding never degrades (fail-closed).
+  std::set<mobility::UserId> first_seen;
+  for (std::size_t k = 0; k < kN - kLow; ++k) {
+    first_seen.insert((*events_)[k].user);
+  }
   const StreamStats engaged = engine.stats();
   EXPECT_EQ(engaged.degraded_batches, 1u);
-  EXPECT_GT(engaged.shed_decisions, 0u);
-  EXPECT_EQ(engine.capture_snapshot().shard_shedding,
-            (std::vector<std::uint8_t>{1}));
-
-  // Backlog between the watermarks: hysteresis holds the latch engaged.
-  ingest_n(32);
-  engine.drain();
-  EXPECT_EQ(engine.stats().degraded_batches, 2u);
-
-  // Backlog at/below low: the latch releases and decisions are full again.
-  ingest_n(8);
-  engine.drain();
-  const StreamStats released = engine.stats();
-  EXPECT_EQ(released.degraded_batches, 2u);
+  EXPECT_EQ(engaged.shed_decisions, kN - kLow - first_seen.size());
+  std::uint64_t degraded = 0;
+  for (const auto& decision : engine.decisions()) degraded += decision.degraded;
+  EXPECT_EQ(degraded, engaged.shed_decisions);
   EXPECT_EQ(engine.capture_snapshot().shard_shedding,
             (std::vector<std::uint8_t>{0}));
-}
 
-TEST_F(StreamTest, DrainBudgetDegradesBatchTailButFinishCanonicalizes) {
-  const BatchOracle oracle = batch_oracle(*harness_);
-  StreamConfig config;
-  config.shards = 1;
-  config.parallel_drain = false;
-  config.resilience.drain_budget = 2;  // at most 2 full decisions per drain
-  const auto result = replay_with(config);
-
-  EXPECT_GT(result.stats.shed_decisions, 0u);
-  EXPECT_GT(result.stats.degraded_batches, 0u);
-  std::uint64_t degraded = 0;
-  for (const auto& decision : result.decisions) degraded += decision.degraded;
-  EXPECT_GT(degraded, 0u);
-  // finish() re-searches every user whose verdict was held, so degraded
-  // mid-stream batches never change the final published decisions.
-  expect_matches_batch(result.decisions, oracle);
+  // Below the high watermark the latch stays released: a running worker
+  // never sees more than the 32 events pushed here.
+  for (std::size_t i = kN; i < kN + 32; ++i) engine.ingest((*events_)[i]);
+  engine.quiesce();
+  EXPECT_EQ(engine.stats().degraded_batches, 1u);
+  EXPECT_EQ(engine.stats().shed_decisions, engaged.shed_decisions);
 }
 
 TEST_F(StreamTest, ShedDecisionsAreRepairedByFinish) {
+  // Three pre-filled shards: each latch engages on its own first dequeue
+  // when its ring holds at least the high watermark, and releases once,
+  // independently of the other shards'.
   const BatchOracle oracle = batch_oracle(*harness_);
-  StreamConfig config;
-  config.shards = 2;
-  config.parallel_drain = false;
+  StreamConfig config = sharded(3);
+  config.loop_autostart = false;
   config.resilience.shed_high_watermark = 48;
   config.resilience.shed_low_watermark = 12;
-  ReplayOptions options;
-  options.batch_events = 128;  // backlog 64/shard: sheds most batches
-  const auto result = replay_with(config, options);
-  EXPECT_GT(result.stats.degraded_batches, 0u);
-  expect_matches_batch(result.decisions, oracle);
+  StreamEngine engine(harness_->make_engine(), config);
+  std::vector<std::size_t> depth(config.shards, 0);
+  for (const StreamEvent& event : *events_) {
+    engine.ingest(event);
+    ++depth[engine.shard_of(event.user)];
+  }
+  const auto loaded = static_cast<std::uint64_t>(
+      std::count_if(depth.begin(), depth.end(),
+                    [](std::size_t d) { return d >= 48; }));
+  ASSERT_GT(loaded, 0u);
+  engine.start_loop();
+  engine.quiesce();
+  EXPECT_EQ(engine.stats().degraded_batches, loaded);
+  EXPECT_GT(engine.stats().shed_decisions, 0u);
+
+  engine.finish();
+  expect_matches_batch(engine.decisions(), oracle);
 }
 
 TEST_F(StreamTest, BackpressureSignalsWithoutChangingDecisions) {
-  StreamConfig config;
-  config.shards = 2;
-  const auto reference = replay_with(config);
+  const auto reference = replay_with(sharded(2));
 
-  StreamConfig bounded = config;
+  // Workers held back, bound 8 (ring capacity 16): pushes 1-8 are plain
+  // admissions, pushes 9-16 cross the bound and signal.
+  StreamConfig probe_config = sharded(1);
+  probe_config.loop_autostart = false;
+  probe_config.resilience.max_pending_per_shard = 8;
+  StreamEngine probe(harness_->make_engine(), probe_config);
+  for (std::size_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(probe.ingest((*events_)[i]), i < 8
+                                               ? IngestStatus::kAdmitted
+                                               : IngestStatus::kAdmittedSlow)
+        << i;
+  }
+  probe.start_loop();
+  probe.quiesce();
+  EXPECT_EQ(probe.stats().backpressure_events, 8u);
+
+  // Backpressure is a *signal* to the producer, never a decision input.
+  StreamConfig bounded = sharded(2);
   bounded.resilience.max_pending_per_shard = 8;
-  bool saw_slow = false;
-  StreamEngine probe(harness_->make_engine(), bounded);
-  for (std::size_t i = 0; i < 64; ++i) {
-    if (probe.ingest((*events_)[i]) == IngestStatus::kAdmittedSlow) {
-      saw_slow = true;
-    }
-  }
-  EXPECT_TRUE(saw_slow);
-
   StreamEngine engine(harness_->make_engine(), bounded);
-  const auto result = run_replay(engine, *events_, {});
-  EXPECT_GT(result.stats.backpressure_events, 0u);
-  // Backpressure is a *signal* to the producer, never a decision input:
-  // batch boundaries and outcomes are untouched.
-  ASSERT_EQ(result.decisions.size(), reference.decisions.size());
-  for (std::size_t i = 0; i < reference.decisions.size(); ++i) {
-    EXPECT_EQ(result.decisions[i].decision, reference.decisions[i].decision);
-    EXPECT_EQ(result.decisions[i].winner, reference.decisions[i].winner);
-  }
+  expect_same_decisions(run_replay(engine, *events_, {}).decisions,
+                        reference.decisions);
 }
 
 TEST_F(StreamTest, InjectedDecideFaultQuarantinesExactlyOneUser) {
-  StreamConfig config;
-  config.shards = 1;
-  config.parallel_drain = false;  // deterministic drain order
+  const StreamConfig config = sharded(4);
   const auto clean = replay_with(config);
 
-  // Under the strict default the injected fault propagates out of drain().
+  // Under the strict default the injected fault propagates out of the
+  // replay (rethrown on the producer).
   testing::FailPoint::arm("stream.decide.user", testing::FailAction::kThrow);
   StreamEngine strict(harness_->make_engine(), config);
   EXPECT_THROW(run_replay(strict, *events_, {}), testing::InjectedFault);
 
-  // Under quarantine the faulting user is isolated and the drain survives.
+  // Under quarantine the faulting user is isolated and every worker
+  // survives; the one-shot fault hits exactly one user across 4 shards.
   StreamConfig quarantine = config;
   quarantine.resilience.on_bad_record = BadRecordPolicy::kQuarantine;
   testing::FailPoint::arm("stream.decide.user", testing::FailAction::kThrow);
@@ -988,24 +962,26 @@ TEST_F(StreamTest, InjectedDecideFaultQuarantinesExactlyOneUser) {
 }
 
 TEST_F(StreamTest, CorruptFailPointIsCaughtByTheFoldPoisonScan) {
-  StreamConfig config;
-  config.shards = 1;
-  config.parallel_drain = false;
+  StreamConfig config = sharded(1);
   config.resilience.on_bad_record = BadRecordPolicy::kQuarantine;
-  testing::FailPoint::arm("stream.drain.corrupt",
+  testing::FailPoint::arm("stream.fold.corrupt",
                           testing::FailAction::kCorrupt);
   StreamEngine engine(harness_->make_engine(), config);
   const auto result = run_replay(engine, *events_, {});
 
+  // The corrupted point was never folded: exactly its user is frozen,
+  // with the scan's reason on record.
   EXPECT_EQ(result.stats.quarantined_users, 1u);
-  bool found = false;
+  EXPECT_EQ(result.stats.bad_records, 0u);
+  std::size_t found = 0;
   for (const auto& decision : result.decisions) {
     if (!decision.quarantined) continue;
-    found = true;
+    ++found;
     EXPECT_NE(decision.quarantine_reason.find("poisoned pending record"),
               std::string::npos);
+    EXPECT_GT(decision.dead_letters, 0u);
   }
-  EXPECT_TRUE(found);
+  EXPECT_EQ(found, 1u);
 }
 
 TEST_F(StreamTest, QuarantineStateRoundTripsThroughSnapshotAndResume) {
@@ -1015,22 +991,19 @@ TEST_F(StreamTest, QuarantineStateRoundTripsThroughSnapshotAndResume) {
   spec.stride = 3;
   ASSERT_GT(inject_poison(poisoned_events, spec), 0u);
 
-  StreamConfig config;
-  config.shards = 2;
+  StreamConfig config = sharded(2);
   config.resilience.on_bad_record = BadRecordPolicy::kQuarantine;
-  ReplayOptions options;
-  options.batch_events = 256;
 
   StreamEngine straight(harness_->make_engine(), config);
-  const auto reference = run_replay(straight, poisoned_events, options);
+  const auto reference = run_replay(straight, poisoned_events, {});
   ASSERT_EQ(reference.stats.quarantined_users, 2u);
 
-  const std::size_t boundary = 2 * options.batch_events;
+  // Any quiesced position is a valid cut; 500 is deliberately not a
+  // multiple of a power of two.
+  const std::size_t cut = 500;
   StreamEngine first(harness_->make_engine(), config);
-  for (std::size_t i = 0; i < boundary; ++i) {
-    first.ingest(poisoned_events[i]);
-    if ((i + 1) % options.batch_events == 0) first.drain();
-  }
+  for (std::size_t i = 0; i < cut; ++i) first.ingest(poisoned_events[i]);
+  first.quiesce();
   const SnapshotData snap =
       decode_snapshot(encode_snapshot(first.capture_snapshot()));
   bool any_quarantined = false;
@@ -1039,7 +1012,8 @@ TEST_F(StreamTest, QuarantineStateRoundTripsThroughSnapshotAndResume) {
 
   StreamEngine second(harness_->make_engine(), config);
   second.restore_snapshot(snap);
-  options.resume_events = boundary;
+  ReplayOptions options;
+  options.resume_events = cut;
   const auto resumed = run_replay(second, poisoned_events, options);
 
   ASSERT_EQ(resumed.decisions.size(), reference.decisions.size());
@@ -1072,33 +1046,16 @@ TEST_F(StreamTest, ReplayResumeAtStreamEndOnlyFinishes) {
   EXPECT_TRUE(result.decisions.empty());  // fresh engine held no users
 }
 
-// ------------------------------------------------------- loop engine --
-
-TEST(EngineModeTest, ParsesSpellingsAndRejectsUnknowns) {
-  EXPECT_EQ(parse_engine_mode("batch"), EngineMode::kBatch);
-  EXPECT_EQ(parse_engine_mode("loop"), EngineMode::kLoop);
-  EXPECT_THROW((void)parse_engine_mode("turbo"), support::UsageError);
-  EXPECT_STREQ(to_string(EngineMode::kLoop), "loop");
-  EXPECT_STREQ(to_string(EngineMode::kBatch), "batch");
-}
-
-/// Continuous-serving config: per-shard worker threads fed by SPSC rings,
-/// deciding at admission time (PR 10).
-StreamConfig loop_config(std::size_t shards = 4) {
-  StreamConfig config;
-  config.engine = EngineMode::kLoop;
-  config.shards = shards;
-  return config;
-}
+// ------------------------------------------------- serving-loop tiers --
 
 TEST_F(StreamTest, LoopFinalDecisionsMatchBatchEvaluators) {
   const BatchOracle oracle = batch_oracle(*harness_);
-  const auto result = replay_with(loop_config());
+  const auto result = replay_with(sharded(4));
   expect_matches_batch(result.decisions, oracle);
   EXPECT_EQ(result.stats.exposed_events + result.stats.protected_events,
             result.events);
-  // Latency parity with batch mode: every presented event leaves exactly
-  // one end-to-end sample in the replay histogram.
+  // Every presented event leaves exactly one end-to-end sample in the
+  // replay histogram.
   EXPECT_EQ(result.latency_histogram.count, result.events);
   // A clean strict run must leave the resilience counters untouched —
   // the held/recheck admission tiers are cheap paths, not degradations.
@@ -1109,50 +1066,33 @@ TEST_F(StreamTest, LoopFinalDecisionsMatchBatchEvaluators) {
 }
 
 TEST_F(StreamTest, LoopDecisionsMatchBatchAcrossShardsSlackAndRecheck) {
-  StreamConfig batch;
-  batch.shards = 4;
-  const auto reference = replay_with(batch);
+  const BatchOracle oracle = batch_oracle(*harness_);
+  const auto reference = replay_with(sharded(4));
+  expect_matches_batch(reference.decisions, oracle);
 
   std::vector<StreamConfig> variants;
-  variants.push_back(loop_config(1));
-  variants.push_back(loop_config(3));
-  variants.push_back(loop_config(8));
-  StreamConfig eager = loop_config();  // full decision on every event
+  variants.push_back(sharded(8));
+  StreamConfig eager = sharded(4);  // full decision on every event
   eager.loop_slack = 0;
   variants.push_back(eager);
-  StreamConfig lazy = loop_config();  // mostly held, odd cadences
+  StreamConfig lazy = sharded(4);  // mostly held, odd cadences
   lazy.loop_slack = 7;
   lazy.loop_recheck = 3;
   variants.push_back(lazy);
-  StreamConfig no_recheck = loop_config();
+  StreamConfig no_recheck = sharded(4);
   no_recheck.loop_recheck = 0;
   variants.push_back(no_recheck);
 
   for (const StreamConfig& config : variants) {
-    const auto result = replay_with(config);
-    ASSERT_EQ(result.decisions.size(), reference.decisions.size());
-    for (std::size_t i = 0; i < result.decisions.size(); ++i) {
-      EXPECT_EQ(result.decisions[i].user, reference.decisions[i].user);
-      EXPECT_EQ(result.decisions[i].decision,
-                reference.decisions[i].decision);
-      EXPECT_EQ(result.decisions[i].winner, reference.decisions[i].winner);
-      EXPECT_EQ(result.decisions[i].events, reference.decisions[i].events);
-    }
+    expect_same_decisions(replay_with(config).decisions, reference.decisions);
   }
 }
 
-TEST_F(StreamTest, LoopModeRejectsDrain) {
-  StreamEngine engine(harness_->make_engine(), loop_config(1));
-  EXPECT_THROW(engine.drain(), support::PreconditionError);
-}
-
 TEST_F(StreamTest, LoopCheckpointRestoreRoundTripsMidStream) {
-  StreamConfig config = loop_config(2);
+  const StreamConfig config = sharded(2);
   StreamEngine straight(harness_->make_engine(), config);
   const auto reference = run_replay(straight, *events_, {});
 
-  // Loop cuts have no micro-batch alignment requirement: any quiesced
-  // position is valid, so pick one off every batch multiple on purpose.
   const std::size_t cut = 333;
   StreamEngine first(harness_->make_engine(), config);
   for (std::size_t i = 0; i < cut; ++i) first.ingest((*events_)[i]);
@@ -1160,7 +1100,6 @@ TEST_F(StreamTest, LoopCheckpointRestoreRoundTripsMidStream) {
   const SnapshotData snap =
       decode_snapshot(encode_snapshot(first.capture_snapshot()));
   EXPECT_EQ(snap.stream_position, cut);
-  EXPECT_EQ(snap.config.engine, EngineMode::kLoop);
 
   StreamEngine second(harness_->make_engine(), config);
   second.restore_snapshot(snap);
@@ -1168,15 +1107,7 @@ TEST_F(StreamTest, LoopCheckpointRestoreRoundTripsMidStream) {
   options.resume_events = cut;
   const auto resumed = run_replay(second, *events_, options);
 
-  ASSERT_EQ(resumed.decisions.size(), reference.decisions.size());
-  for (std::size_t i = 0; i < reference.decisions.size(); ++i) {
-    const UserDecision& a = resumed.decisions[i];
-    const UserDecision& e = reference.decisions[i];
-    EXPECT_EQ(a.user, e.user);
-    EXPECT_EQ(a.decision, e.decision) << a.user;
-    EXPECT_EQ(a.winner, e.winner) << a.user;
-    EXPECT_EQ(a.events, e.events) << a.user;
-  }
+  expect_same_decisions(resumed.decisions, reference.decisions);
   // The decision tier is a pure function of per-user event ordinals, so
   // the continued counters line up exactly with the straight run's.
   EXPECT_EQ(resumed.stats.events, reference.stats.events);
@@ -1185,19 +1116,14 @@ TEST_F(StreamTest, LoopCheckpointRestoreRoundTripsMidStream) {
 }
 
 TEST_F(StreamTest, LoopRestoreRefusesEngineModeMismatch) {
-  StreamConfig config = loop_config(2);
+  const StreamConfig config = sharded(2);
   StreamEngine first(harness_->make_engine(), config);
   for (std::size_t i = 0; i < 100; ++i) first.ingest((*events_)[i]);
   first.quiesce();
   const SnapshotData snap = first.capture_snapshot();
 
-  // A loop checkpoint must not restore into a batch gateway (the cut may
-  // not fall on a drain boundary) — nor under different loop cadences.
-  StreamConfig batch = config;
-  batch.engine = EngineMode::kBatch;
-  StreamEngine batch_engine(harness_->make_engine(), batch);
-  EXPECT_THROW(batch_engine.restore_snapshot(snap), SnapshotError);
-
+  // The decision cadences shape the mid-stream decision sequence, so a
+  // snapshot must not restore under different ones.
   StreamConfig other_slack = config;
   other_slack.loop_slack = 5;
   StreamEngine slack_engine(harness_->make_engine(), other_slack);
@@ -1207,12 +1133,18 @@ TEST_F(StreamTest, LoopRestoreRefusesEngineModeMismatch) {
   other_recheck.loop_recheck = 2;
   StreamEngine recheck_engine(harness_->make_engine(), other_recheck);
   EXPECT_THROW(recheck_engine.restore_snapshot(snap), SnapshotError);
+
+  // loop_autostart is timing-only: it never blocks a restore.
+  StreamConfig manual = config;
+  manual.loop_autostart = false;
+  StreamEngine manual_engine(harness_->make_engine(), manual);
+  EXPECT_NO_THROW(manual_engine.restore_snapshot(snap));
 }
 
 TEST_F(StreamTest, LoopStrictFaultSurfacesOnTheProducer) {
   // Unattributable events never reach a worker: the producer classifies
-  // and throws synchronously, exactly like the batch path.
-  StreamEngine id_engine(harness_->make_engine(), loop_config(1));
+  // and throws synchronously.
+  StreamEngine id_engine(harness_->make_engine(), sharded(1));
   StreamEvent huge = (*events_)[0];
   huge.user = std::string(kMaxUserIdBytes + 1, 'x');
   EXPECT_THROW(id_engine.ingest(huge), BadRecordError);
@@ -1220,7 +1152,7 @@ TEST_F(StreamTest, LoopStrictFaultSurfacesOnTheProducer) {
   // A bad coordinate is flagged at ingest but dispositioned by the shard
   // worker; under the strict default its BadRecordError is rethrown on
   // the producer no later than the quiesce barrier.
-  StreamEngine nan_engine(harness_->make_engine(), loop_config(1));
+  StreamEngine nan_engine(harness_->make_engine(), sharded(1));
   StreamEvent bad = (*events_)[0];
   bad.record.position.lat = std::numeric_limits<double>::quiet_NaN();
   nan_engine.ingest(bad);
@@ -1228,7 +1160,7 @@ TEST_F(StreamTest, LoopStrictFaultSurfacesOnTheProducer) {
 
   // Same for the stateful per-user monotonicity check, which only the
   // worker (owner of the user state) can evaluate.
-  StreamEngine time_engine(harness_->make_engine(), loop_config(1));
+  StreamEngine time_engine(harness_->make_engine(), sharded(1));
   const StreamEvent first = (*events_)[0];
   time_engine.ingest(first);
   StreamEvent regressed = first;
@@ -1238,21 +1170,18 @@ TEST_F(StreamTest, LoopStrictFaultSurfacesOnTheProducer) {
 }
 
 TEST_F(StreamTest, LoopQuarantineIsolatesPoisonedUserFromHealthyDecisions) {
-  StreamConfig batch;
-  batch.shards = 4;
-  const auto clean = replay_with(batch);
+  const auto clean = replay_with(sharded(4));
 
   std::vector<StreamEvent> poisoned_events = *events_;
   PoisonSpec spec;
   spec.users = 1;
   spec.stride = 3;
   ASSERT_GT(inject_poison(poisoned_events, spec), 0u);
-  mobility::UserId victim = poisoned_events.front().user;
-  for (const StreamEvent& event : *events_) {
-    victim = std::min(victim, event.user);
-  }
+  const mobility::UserId victim = first_user(*events_);
 
-  StreamConfig quarantine = loop_config();
+  // One shard: the victim shares its worker and ring with every healthy
+  // user, the worst case for isolation.
+  StreamConfig quarantine = sharded(1);
   quarantine.resilience.on_bad_record = BadRecordPolicy::kQuarantine;
   StreamEngine engine(harness_->make_engine(), quarantine);
   const auto result = run_replay(engine, poisoned_events, {});
@@ -1271,8 +1200,6 @@ TEST_F(StreamTest, LoopQuarantineIsolatesPoisonedUserFromHealthyDecisions) {
       EXPECT_GT(a.dead_letters, 0u);
       continue;
     }
-    // Isolation holds across execution modes: a poisoned neighbour never
-    // perturbs a healthy user's published outcome.
     EXPECT_FALSE(a.quarantined) << a.user;
     EXPECT_EQ(a.decision, e.decision) << a.user;
     EXPECT_EQ(a.winner, e.winner) << a.user;
@@ -1282,7 +1209,7 @@ TEST_F(StreamTest, LoopQuarantineIsolatesPoisonedUserFromHealthyDecisions) {
 }
 
 TEST_F(StreamTest, LoopInjectedDecideFaultQuarantinesExactlyOneUser) {
-  StreamConfig config = loop_config(1);
+  const StreamConfig config = sharded(1);
   const auto clean = replay_with(config);
 
   // Under the strict default the worker's injected fault is rethrown on
@@ -1292,7 +1219,7 @@ TEST_F(StreamTest, LoopInjectedDecideFaultQuarantinesExactlyOneUser) {
   EXPECT_THROW(run_replay(strict, *events_, {}), testing::InjectedFault);
 
   // Under quarantine the faulting user is isolated, the worker survives,
-  // and every healthy user matches the clean loop run.
+  // and every healthy user matches the clean run.
   StreamConfig quarantine = config;
   quarantine.resilience.on_bad_record = BadRecordPolicy::kQuarantine;
   testing::FailPoint::arm("stream.decide.user", testing::FailAction::kThrow);
@@ -1320,7 +1247,7 @@ TEST_F(StreamTest, LoopInjectedDecideFaultQuarantinesExactlyOneUser) {
 
 TEST_F(StreamTest, LoopShedEngagesOnRingDepthAndFinishRepairs) {
   const BatchOracle oracle = batch_oracle(*harness_);
-  StreamConfig config = loop_config(1);
+  StreamConfig config = sharded(1);
   config.loop_autostart = false;
   config.resilience.shed_high_watermark = 64;
   config.resilience.shed_low_watermark = 16;
@@ -1346,14 +1273,12 @@ TEST_F(StreamTest, LoopShedEngagesOnRingDepthAndFinishRepairs) {
 }
 
 TEST_F(StreamTest, LoopBackpressureSignalsWithoutChangingDecisions) {
-  StreamConfig batch;
-  batch.shards = 2;
-  const auto reference = replay_with(batch);
+  const auto reference = replay_with(sharded(2));
 
   // Bounded rings (capacity 2*max_pending): the producer outruns the
   // deciding workers, so the slow signal must fire; it stays a signal —
   // nothing is dropped and decisions are untouched.
-  StreamConfig bounded = loop_config(2);
+  StreamConfig bounded = sharded(2);
   bounded.resilience.max_pending_per_shard = 8;
   StreamEngine engine(harness_->make_engine(), bounded);
   const auto result = run_replay(engine, *events_, {});
@@ -1368,10 +1293,9 @@ TEST_F(StreamTest, LoopBackpressureSignalsWithoutChangingDecisions) {
 }
 
 TEST_F(StreamTest, LoopPacingFloorsWallClockNotDecisionCoverage) {
-  StreamConfig config = loop_config(2);
   ReplayOptions paced;
   paced.target_rate = 50000.0;  // fast, but a real open-loop floor
-  StreamEngine engine(harness_->make_engine(), config);
+  StreamEngine engine(harness_->make_engine(), sharded(2));
   const auto result = run_replay(engine, *events_, paced);
 
   // The last event is scheduled at (n-1)/rate seconds: the wall clock
